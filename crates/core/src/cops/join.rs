@@ -32,22 +32,18 @@ pub enum JoinState {
     Indexed,
 }
 
-/// Full sweeps of the keyed state happen once per this many arrivals; in
-/// between, only the arriving key's buffer is expired. Lazy expiry cannot
-/// change results: a segment old enough to expire (`hi ≤ now − window`)
-/// can never overlap a probe span starting at `now`.
-const KEYED_SWEEP_EVERY: u32 = 512;
-
 /// One interval index per join key — the `KeyJoin::Eq` state layout. The
 /// key-blind global index made every violation scan candidates across all
 /// keys only to discard them against the key predicate; here the probe
 /// only ever sees its own key's segments. Within a key, segments keep the
 /// same start-order the global index would have produced, so candidate
 /// iteration order (and therefore output order) is unchanged.
+///
+/// An arrival expires only its own key's buffer; keys that stop arriving
+/// keep theirs until [`COperator::gc_before`] sweeps every key.
 #[derive(Default)]
 struct KeyedIndex {
     map: HashMap<u64, SegmentIndex>,
-    since_sweep: u32,
 }
 
 impl KeyedIndex {
@@ -58,14 +54,13 @@ impl KeyedIndex {
                 self.map.remove(&key);
             }
         }
-        self.since_sweep += 1;
-        if self.since_sweep >= KEYED_SWEEP_EVERY {
-            self.since_sweep = 0;
-            self.map.retain(|_, idx| {
-                idx.expire_before(t);
-                !idx.is_empty()
-            });
-        }
+    }
+
+    fn sweep(&mut self, t: f64) {
+        self.map.retain(|_, idx| {
+            idx.expire_before(t);
+            !idx.is_empty()
+        });
     }
 }
 
@@ -89,6 +84,15 @@ impl SideState {
             SideState::Scan(v) => v.retain(|s| s.span.hi > t),
             SideState::Indexed(idx) => idx.expire_before(t),
             SideState::Keyed(k) => k.expire(key, t),
+        }
+    }
+
+    /// Expires every key's segments ending at or before `t`. The unkeyed
+    /// layouts expire whole on every arrival, so only the keyed one can
+    /// hold anything a sweep up to the latest arrival's expiry would drop.
+    fn sweep(&mut self, t: f64) {
+        if let SideState::Keyed(k) = self {
+            k.sweep(t);
         }
     }
 
@@ -134,6 +138,10 @@ pub struct CJoin {
     bindings: [Binding; 2],
     left: SideState,
     right: SideState,
+    /// `now − window` of the latest arrival: the expiry time every
+    /// per-arrival expire has used so far. [`COperator::gc_before`] never
+    /// sweeps past it.
+    expired_to: f64,
     lineage: SharedLineage,
     dep_count: usize,
     slack: Option<f64>,
@@ -173,6 +181,7 @@ impl CJoin {
             bindings,
             left: SideState::new(state, on_keys),
             right: SideState::new(state, on_keys),
+            expired_to: f64::NEG_INFINITY,
             lineage,
             dep_count,
             slack: None,
@@ -197,8 +206,9 @@ impl COperator for CJoin {
         self.m.items_in += 1;
         self.lineage.lock().register(seg);
         let now = seg.span.lo;
-        self.left.expire(seg.key, now - self.window);
-        self.right.expire(seg.key, now - self.window);
+        self.expired_to = now - self.window;
+        self.left.expire(seg.key, self.expired_to);
+        self.right.expire(seg.key, self.expired_to);
         let from_left = input == 0;
         let opposite = if from_left { &self.right } else { &self.left };
 
@@ -274,6 +284,17 @@ impl COperator for CJoin {
 
     fn metrics(&self) -> OpMetrics {
         self.m
+    }
+
+    /// Sweeps every key's buffers, clamped to the latest arrival's expiry
+    /// time: a segment ending at or before `now − window` can never overlap
+    /// a probe starting at or after `now`, so the sweep drops only what
+    /// each key's next arrival would expire anyway and join results do
+    /// not depend on when, or with what `t`, the caller collects.
+    fn gc_before(&mut self, t: f64) {
+        let t = t.min(self.expired_to);
+        self.left.sweep(t);
+        self.right.sweep(t);
     }
 
     fn dep_count(&self) -> usize {
@@ -385,6 +406,44 @@ mod tests {
         // Arrives at t=5: the old left segment (ended 0.5) is beyond the 1s window.
         j.process(1, &seg(2, 5.0, 6.0, 0.0, 0.0), &mut out);
         assert!(out.is_empty());
+    }
+
+    /// Keys holding buffered segments on a keyed side.
+    fn keyed_keys(side: &SideState) -> Vec<u64> {
+        let SideState::Keyed(k) = side else { panic!("KeyJoin::Eq uses the keyed layout") };
+        let mut keys: Vec<u64> = k.map.keys().copied().collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn idle_key_keeps_buffers_until_gc() {
+        let mut j = CJoin::new(1.0, Pred::True, KeyJoin::Eq, bindings(), lineage::shared());
+        let mut out = Vec::new();
+        j.process(0, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut out);
+        j.process(1, &seg(1, 0.0, 1.0, 0.0, 0.0), &mut out);
+        // Key 1 stops arriving; key 2 keeps the join busy far past its window.
+        for i in 0..600 {
+            let t = 10.0 + i as f64;
+            j.process(i % 2, &seg(2, t, t + 0.5, 0.0, 0.0), &mut out);
+        }
+        assert_eq!(keyed_keys(&j.left), vec![1, 2]);
+        assert_eq!(keyed_keys(&j.right), vec![1, 2]);
+        j.gc_before(f64::INFINITY);
+        assert_eq!(keyed_keys(&j.left), vec![2]);
+        assert_eq!(keyed_keys(&j.right), vec![2]);
+    }
+
+    #[test]
+    fn gc_never_sweeps_past_the_latest_expiry() {
+        let mut j = CJoin::new(1.0, Pred::True, KeyJoin::Eq, bindings(), lineage::shared());
+        let mut out = Vec::new();
+        j.process(0, &seg(1, 0.0, 3.0, 0.0, 0.0), &mut out);
+        // Past the latest `now − window` (−1): clamped, so [0, 3) survives.
+        j.gc_before(5.0);
+        j.process(1, &seg(1, 2.0, 4.0, 0.0, 0.0), &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].span, Span::new(2.0, 3.0));
     }
 
     #[test]

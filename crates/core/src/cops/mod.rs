@@ -51,6 +51,10 @@ pub trait COperator: Any {
     fn metrics(&self) -> OpMetrics;
     /// End-of-stream.
     fn flush(&mut self, _out: &mut Vec<Segment>) {}
+    /// State bounding off the arrival path: drops state that no arrival at
+    /// or after stream time `t` can reach. Operators that bound all their
+    /// state on arrival keep the default no-op.
+    fn gc_before(&mut self, _t: f64) {}
     /// `|D(o)| = |translations(o) ∪ inferences(o)|`: how many attribute
     /// dependencies the operator's bound inversion must apportion across
     /// (equi-split denominator, §IV-C).

@@ -56,7 +56,8 @@ enum HMsg {
     /// Hand back every result segment produced since the last drain,
     /// tagged with its branch, in emission order.
     Drain(Sender<Vec<(usize, Segment)>>),
-    /// Garbage-collect lineage older than `t` in every branch runtime.
+    /// Garbage-collect plan state and lineage older than `t` in every
+    /// branch runtime.
     Gc(f64),
     /// Publish per-branch counters into the global registry (live scrape).
     Export,
@@ -308,8 +309,9 @@ impl HybridRuntime {
         }
     }
 
-    /// Asks every branch runtime to garbage-collect lineage older than
-    /// `t`. Flushes pending batches first so GC stays ordered.
+    /// Asks every branch runtime to garbage-collect plan state and lineage
+    /// older than `t` ([`PulseRuntime::gc_before`]). The merge stage is not
+    /// collected. Flushes pending batches first so GC stays ordered.
     pub fn gc_before(&mut self, t: f64) {
         for s in 0..self.txs.len() {
             self.flush(s);
@@ -510,7 +512,8 @@ impl AutoRuntime {
         }
     }
 
-    /// Garbage-collects lineage older than `t` everywhere.
+    /// Garbage-collects plan state and lineage older than `t` in every
+    /// worker runtime.
     pub fn gc_before(&mut self, t: f64) {
         match self {
             AutoRuntime::Sharded(rt) => rt.gc_before(t),

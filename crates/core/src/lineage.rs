@@ -11,8 +11,40 @@
 
 use parking_lot::Mutex;
 use pulse_model::{Segment, SegmentId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
+
+/// Hasher for [`SegmentId`] keys: one multiply by the 64-bit golden ratio.
+/// Ids come from a process-wide counter and are never read from input, so
+/// nobody can craft colliding keys and SipHash's flooding resistance buys
+/// nothing here. Odd-constant multiplication is a bijection, so sequential
+/// ids spread over the low bits (bucket index) and mix into the high bits
+/// (the table's tag byte).
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+}
+
+/// Map keyed by [`SegmentId`] under [`IdHasher`].
+pub(crate) type IdMap<V> = HashMap<SegmentId, V, BuildHasherDefault<IdHasher>>;
+
+/// Set of [`SegmentId`]s under [`IdHasher`].
+pub(crate) type IdSet = HashSet<SegmentId, BuildHasherDefault<IdHasher>>;
 
 /// Shared handle operators use to record lineage.
 pub type SharedLineage = Arc<Mutex<LineageStore>>;
@@ -25,14 +57,16 @@ pub fn shared() -> SharedLineage {
 /// The lineage graph plus segment snapshots.
 #[derive(Debug, Default)]
 pub struct LineageStore {
-    parents: HashMap<SegmentId, Vec<SegmentId>>,
-    snapshots: HashMap<SegmentId, Segment>,
+    parents: IdMap<Vec<SegmentId>>,
+    snapshots: IdMap<Segment>,
 }
 
 impl LineageStore {
-    /// Snapshots a segment (inputs and outputs alike).
+    /// Snapshots a segment (inputs and outputs alike). A segment is never
+    /// changed under its id, so one that several operators consume keeps
+    /// the snapshot its first registration took.
     pub fn register(&mut self, seg: &Segment) {
-        self.snapshots.insert(seg.id, seg.clone());
+        self.snapshots.entry(seg.id).or_insert_with(|| seg.clone());
     }
 
     /// Records that `out` was caused by `parents`.
@@ -61,7 +95,7 @@ impl LineageStore {
     /// lineage (shared ancestors along several paths) stays linear instead
     /// of re-walking the shared subgraph per path.
     pub fn sources_of(&self, id: SegmentId) -> Vec<SegmentId> {
-        let mut visited = std::collections::HashSet::new();
+        let mut visited = IdSet::default();
         let mut out = Vec::new();
         let mut stack = vec![id];
         while let Some(cur) = stack.pop() {
@@ -80,10 +114,12 @@ impl LineageStore {
     }
 
     /// Drops lineage for segments entirely before `t` (state bounding).
+    /// Parent entries go with their segment's snapshot; an entry whose
+    /// segment was never snapshotted goes too.
     pub fn gc_before(&mut self, t: f64) {
         self.snapshots.retain(|_, s| s.span.hi >= t);
-        let live: std::collections::HashSet<SegmentId> = self.snapshots.keys().copied().collect();
-        self.parents.retain(|id, _| live.contains(id));
+        let snapshots = &self.snapshots;
+        self.parents.retain(|id, _| snapshots.contains_key(id));
     }
 
     /// Number of snapshots held (for memory accounting in experiments).
@@ -139,6 +175,54 @@ mod tests {
         assert!(store.segment(old.id).is_none());
         assert!(store.segment(new.id).is_some());
         assert_eq!(store.len(), 1);
+    }
+
+    #[test]
+    fn reregistering_keeps_one_snapshot_and_its_parents() {
+        let mut store = LineageStore::default();
+        let src = seg(0.0, 1.0);
+        let out = seg(0.0, 1.0);
+        store.emit(&out, &[src.id]);
+        store.register(&out);
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.parents_of(out.id), &[src.id]);
+        assert_eq!(store.segment(out.id), Some(&out));
+    }
+
+    #[test]
+    fn gc_keeps_a_segment_ending_exactly_at_the_cutoff() {
+        let mut store = LineageStore::default();
+        let at = seg(0.0, 2.0);
+        let before = seg(0.0, 2.0 - 1e-9);
+        store.register(&at);
+        store.register(&before);
+        store.gc_before(2.0);
+        assert!(store.segment(at.id).is_some());
+        assert!(store.segment(before.id).is_none());
+        assert_eq!(store.len(), 1);
+    }
+
+    #[test]
+    fn gc_drops_parents_recorded_without_a_snapshot() {
+        let mut store = LineageStore::default();
+        let src = seg(5.0, 6.0);
+        let orphan = seg(5.0, 6.0);
+        store.register(&src);
+        store.record(orphan.id, &[src.id]);
+        assert_eq!(store.parents_of(orphan.id), &[src.id]);
+        store.gc_before(0.0);
+        assert!(store.parents_of(orphan.id).is_empty());
+        assert!(store.segment(src.id).is_some());
+    }
+
+    #[test]
+    fn id_hasher_spreads_sequential_ids() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<IdHasher>::default();
+        // Sequential ids land in distinct low-bit buckets of a 1024-slot table.
+        let buckets: std::collections::HashSet<u64> =
+            (1..=1024u64).map(|n| build.hash_one(SegmentId(n)) & 1023).collect();
+        assert_eq!(buckets.len(), 1024);
     }
 
     #[test]

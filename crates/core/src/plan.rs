@@ -264,6 +264,15 @@ impl CPlan {
         }
     }
 
+    /// Bounds state older than `t`: every operator's
+    /// [`COperator::gc_before`] hook, then the lineage store.
+    pub fn gc_before(&mut self, t: f64) {
+        for n in &mut self.nodes {
+            n.gc_before(t);
+        }
+        self.lineage.lock().gc_before(t);
+    }
+
     /// The shared lineage store (for bound inversion and validation).
     pub fn lineage(&self) -> &SharedLineage {
         &self.lineage

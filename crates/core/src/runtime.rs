@@ -8,6 +8,7 @@
 //! fresh input bounds; a null result switches the key to slack validation.
 
 use crate::audit::ShadowAuditor;
+use crate::lineage::IdMap;
 use crate::plan::{CPlan, TransformError};
 use crate::validate::{
     Bound, BoundInverter, EquiSplit, GradientSplit, SplitHeuristic, VKey, Validator,
@@ -111,6 +112,11 @@ pub struct RuntimeStats {
     pub suppressed: u64,
     /// Bound violations that forced re-modeling.
     pub violations: u64,
+    /// Tuples that arrived while their key had no live prediction (the
+    /// key's first tuple, or one past its prediction's horizon): nothing
+    /// to check against, so they re-model unconditionally. Every tuple
+    /// lands in exactly one of `suppressed`, `violations` and `unchecked`.
+    pub unchecked: u64,
     /// Predictive segments pushed through the equation systems.
     pub segments_pushed: u64,
     /// Result segments produced.
@@ -125,6 +131,7 @@ impl RuntimeStats {
         self.tuples_in += other.tuples_in;
         self.suppressed += other.suppressed;
         self.violations += other.violations;
+        self.unchecked += other.unchecked;
         self.segments_pushed += other.segments_pushed;
         self.outputs += other.outputs;
         self.model_errors += other.model_errors;
@@ -201,7 +208,7 @@ pub struct PulseRuntime {
     predicted: HashMap<(usize, u64), Segment>,
     /// Reverse map: live predictive segment id → its validator key, so
     /// inverted allocations land on the stream that owns each segment.
-    seg_owner: HashMap<SegmentId, VKey>,
+    seg_owner: IdMap<VKey>,
     validator: Validator,
     /// Inverted per-source-segment bounds from the last results.
     stats: RuntimeStats,
@@ -259,7 +266,7 @@ impl PulseRuntime {
             plan,
             cfg,
             predicted: HashMap::new(),
-            seg_owner: HashMap::new(),
+            seg_owner: IdMap::default(),
             validator: Validator::new(),
             stats: RuntimeStats::default(),
             watermark: f64::NEG_INFINITY,
@@ -511,12 +518,17 @@ impl PulseRuntime {
                 }
             }
         }
-        if trace_on && !checked {
-            // Unseen key or expired prediction: no check ran, but the chain
-            // must still explain why the solver fired — "no previously known
-            // results" is an infinite deviation against a zero allowance.
-            let kind = TraceKind::ValidationOutcome { slack: f64::INFINITY, bound: 0.0, ok: false };
-            validation = self.tracer.emit(arrival, tuple.key, tuple.ts, kind);
+        if !checked {
+            // Unseen key or expired prediction: no check ran.
+            self.stats.unchecked += 1;
+            if trace_on {
+                // The chain must still explain why the solver fired — "no
+                // previously known results" is an infinite deviation against
+                // a zero allowance.
+                let kind =
+                    TraceKind::ValidationOutcome { slack: f64::INFINITY, bound: 0.0, ok: false };
+                validation = self.tracer.emit(arrival, tuple.key, tuple.ts, kind);
+            }
         }
         // Violation/re-model path: rare and expensive, so it always times
         // itself (reusing the entry timestamp when sampling took one).
@@ -748,9 +760,10 @@ impl PulseRuntime {
         self.auditor.as_ref().map(ShadowAuditor::ledger)
     }
 
-    /// Garbage-collects lineage older than `t`.
+    /// Garbage-collects plan state older than `t`: operator state that
+    /// is not bounded on arrival, then lineage ([`CPlan::gc_before`]).
     pub fn gc_before(&mut self, t: f64) {
-        self.plan.lineage().lock().gc_before(t);
+        self.plan.gc_before(t);
     }
 
     /// Walks the flight recorder backwards for `key` over stream-time
@@ -837,6 +850,7 @@ impl PulseRuntime {
             ("runtime.tuples_in", s.tuples_in),
             ("runtime.suppressed", s.suppressed),
             ("runtime.violations", s.violations),
+            ("runtime.unchecked", s.unchecked),
             ("runtime.segments_pushed", s.segments_pushed),
             ("runtime.outputs", s.outputs),
             ("runtime.model_errors", s.model_errors),
@@ -1012,6 +1026,8 @@ mod tests {
         let s = rt.stats();
         assert_eq!(s.tuples_in, 300);
         assert_eq!(s.suppressed + s.segments_pushed + s.model_errors, s.tuples_in, "{s:?}");
+        assert_eq!(s.suppressed + s.violations + s.unchecked, s.tuples_in, "{s:?}");
+        assert!(s.unchecked >= 3, "each key's first tuple is unchecked: {s:?}");
         assert!(s.violations <= s.segments_pushed, "{s:?}");
         assert!(s.suppressed > 0 && s.violations > 0, "{s:?}");
         // The validator saw one check batch per non-first tuple at least.

@@ -75,7 +75,7 @@ impl From<TransformError> for ShardError {
 enum Msg {
     /// A batch of `(source, tuple)` pairs, all keys owned by this shard.
     Batch(Vec<(usize, Tuple)>),
-    /// Garbage-collect lineage older than `t` (mirrors
+    /// Garbage-collect plan state and lineage older than `t` (mirrors
     /// [`PulseRuntime::gc_before`]).
     Gc(f64),
     /// Answer a provenance query from the worker's flight recorder. The
@@ -325,8 +325,9 @@ impl ShardedRuntime {
         }
     }
 
-    /// Asks every shard to garbage-collect lineage older than `t`. Flushes
-    /// pending batches first so GC stays ordered with the tuples before it.
+    /// Asks every shard to garbage-collect plan state and lineage older
+    /// than `t` ([`PulseRuntime::gc_before`]). Flushes pending batches
+    /// first so GC stays ordered with the tuples before it.
     pub fn gc_before(&mut self, t: f64) {
         for s in 0..self.txs.len() {
             self.flush(s);

@@ -140,6 +140,9 @@ fn sharded_macd_matches_single_threaded() {
     assert!(!single_outs.is_empty(), "join never fired: {s:?}");
 
     assert_eq!(merged.stats, s, "merged runtime counters must match");
+    let m = merged.stats;
+    assert_eq!(m.tuples_in, feed.len() as u64, "{m:?}");
+    assert_eq!(m.tuples_in, m.suppressed + m.violations + m.unchecked, "{m:?}");
     assert_eq!(merged.validator, single.validator().stats(), "validator counters must match");
     assert_eq!(
         merged.metrics.systems_solved,
