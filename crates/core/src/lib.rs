@@ -66,7 +66,7 @@ pub use eqsys::{
 pub use historical::HistoricalStore;
 pub use hybrid::{export_opt_metrics, AutoRun, AutoRuntime, HybridRun, HybridRuntime};
 pub use index::SegmentIndex;
-pub use lineage::{LineageStore, SharedLineage};
+pub use lineage::{LineageStore, SegmentView, SharedLineage};
 pub use plan::{CPlan, TransformError};
 pub use runtime::{Heuristic, Predictor, PulseRuntime, RuntimeConfig, RuntimeStats};
 pub use sampler::{SampleStaleness, Sampler};

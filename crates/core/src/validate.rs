@@ -7,9 +7,9 @@
 //! checked against their segment's model at the query *inputs*. Only a
 //! violation — or a previously unseen situation — re-runs the solver.
 
-use crate::lineage::LineageStore;
+use crate::lineage::{LineageStore, SegmentView};
 use pulse_math::EPS;
-use pulse_model::{Segment, SegmentId};
+use pulse_model::SegmentId;
 use std::collections::HashMap;
 
 /// A two-sided absolute error bound `[−below, +above]` around a value.
@@ -51,9 +51,9 @@ pub trait SplitHeuristic {
     /// operator being inverted.
     fn split(
         &self,
-        output: &Segment,
+        output: &SegmentView<'_>,
         bound: Bound,
-        inputs: &[&Segment],
+        inputs: &[SegmentView<'_>],
         dep_count: usize,
     ) -> Vec<(SegmentId, Bound)>;
 }
@@ -66,9 +66,9 @@ pub struct EquiSplit;
 impl SplitHeuristic for EquiSplit {
     fn split(
         &self,
-        _output: &Segment,
+        _output: &SegmentView<'_>,
         bound: Bound,
-        inputs: &[&Segment],
+        inputs: &[SegmentView<'_>],
         dep_count: usize,
     ) -> Vec<(SegmentId, Bound)> {
         let n = (inputs.len() * dep_count.max(1)).max(1) as f64;
@@ -85,16 +85,13 @@ pub struct GradientSplit;
 impl SplitHeuristic for GradientSplit {
     fn split(
         &self,
-        output: &Segment,
+        output: &SegmentView<'_>,
         bound: Bound,
-        inputs: &[&Segment],
+        inputs: &[SegmentView<'_>],
         dep_count: usize,
     ) -> Vec<(SegmentId, Bound)> {
         let mid = output.span.mid();
-        let weights: Vec<f64> = inputs
-            .iter()
-            .map(|s| s.models.iter().map(|m| m.derivative().eval(mid).abs()).sum::<f64>())
-            .collect();
+        let weights: Vec<f64> = inputs.iter().map(|s| s.rate_at(mid)).collect();
         let total: f64 = weights.iter().sum();
         if total < EPS {
             return EquiSplit.split(output, bound, inputs, dep_count);
@@ -143,12 +140,12 @@ impl<'a> BoundInverter<'a> {
                 continue;
             }
             let Some(out_seg) = self.store.segment(id) else { continue };
-            let inputs: Vec<&Segment> =
+            let inputs: Vec<SegmentView<'_>> =
                 parents.iter().filter_map(|p| self.store.segment(*p)).collect();
             if inputs.is_empty() {
                 continue;
             }
-            for (pid, pb) in self.heuristic.split(out_seg, b, &inputs, self.dep_count) {
+            for (pid, pb) in self.heuristic.split(&out_seg, b, &inputs, self.dep_count) {
                 frontier.push((pid, pb));
             }
         }
@@ -535,6 +532,7 @@ mod tests {
     use super::*;
     use crate::lineage::LineageStore;
     use pulse_math::{Poly, Span};
+    use pulse_model::Segment;
 
     fn seg_with(slope: f64) -> Segment {
         Segment::single(1, Span::new(0.0, 10.0), Poly::linear(0.0, slope))
@@ -555,13 +553,23 @@ mod tests {
     fn equi_split_uniform_and_conservative() {
         let out = seg_with(1.0);
         let (a, b) = (seg_with(2.0), seg_with(3.0));
-        let parts = EquiSplit.split(&out, Bound::symmetric(1.0), &[&a, &b], 1);
+        let parts = EquiSplit.split(
+            &SegmentView::of(&out),
+            Bound::symmetric(1.0),
+            &[SegmentView::of(&a), SegmentView::of(&b)],
+            1,
+        );
         assert_eq!(parts.len(), 2);
         for (_, pb) in &parts {
             assert!((pb.below - 0.5).abs() < 1e-12);
         }
         // Dependencies shrink the shares further.
-        let parts = EquiSplit.split(&out, Bound::symmetric(1.0), &[&a, &b], 2);
+        let parts = EquiSplit.split(
+            &SegmentView::of(&out),
+            Bound::symmetric(1.0),
+            &[SegmentView::of(&a), SegmentView::of(&b)],
+            2,
+        );
         assert!((parts[0].1.below - 0.25).abs() < 1e-12);
         // Conservative: Σ allocations ≤ bound.
         let total: f64 = parts.iter().map(|(_, b)| b.below).sum();
@@ -573,7 +581,12 @@ mod tests {
         let out = seg_with(1.0);
         let fast = seg_with(9.0);
         let slow = seg_with(1.0);
-        let parts = GradientSplit.split(&out, Bound::symmetric(1.0), &[&fast, &slow], 1);
+        let parts = GradientSplit.split(
+            &SegmentView::of(&out),
+            Bound::symmetric(1.0),
+            &[SegmentView::of(&fast), SegmentView::of(&slow)],
+            1,
+        );
         let fast_share = parts.iter().find(|(id, _)| *id == fast.id).unwrap().1;
         let slow_share = parts.iter().find(|(id, _)| *id == slow.id).unwrap().1;
         assert!((fast_share.below - 0.9).abs() < 1e-9);
@@ -586,7 +599,12 @@ mod tests {
     fn gradient_split_falls_back_on_flat_models() {
         let out = seg_with(0.0);
         let (a, b) = (seg_with(0.0), seg_with(0.0));
-        let parts = GradientSplit.split(&out, Bound::symmetric(1.0), &[&a, &b], 1);
+        let parts = GradientSplit.split(
+            &SegmentView::of(&out),
+            Bound::symmetric(1.0),
+            &[SegmentView::of(&a), SegmentView::of(&b)],
+            1,
+        );
         assert!((parts[0].1.below - 0.5).abs() < 1e-12);
     }
 

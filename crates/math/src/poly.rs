@@ -13,7 +13,7 @@
 use std::fmt;
 
 /// Coefficients whose magnitude falls below this are trimmed.
-const COEFF_EPS: f64 = 1e-12;
+pub const COEFF_EPS: f64 = 1e-12;
 
 /// A univariate polynomial `c[0] + c[1] t + c[2] t² + …`.
 ///
@@ -281,6 +281,19 @@ impl Poly {
         Poly::new(self.c[1..].iter().enumerate().map(|(i, &c)| c * (i + 1) as f64).collect())
     }
 
+    /// First derivative at `t` of the polynomial with ascending
+    /// coefficients `c`, without building it. The coefficients, trim and
+    /// Horner steps are those of `derivative().eval(t)`, so for a [`Poly`]'s
+    /// [`Poly::coeffs`] the result is bit-identical.
+    pub fn derivative_at(c: &[f64], t: f64) -> f64 {
+        let d = |i: usize| c[i + 1] * (i + 1) as f64;
+        let mut n = c.len().saturating_sub(1);
+        while n > 0 && d(n - 1).abs() < COEFF_EPS {
+            n -= 1;
+        }
+        (0..n).rev().fold(0.0, |acc, i| acc * t + d(i))
+    }
+
     /// Antiderivative with zero constant term: `∫ Σ cᵢtⁱ = Σ cᵢ/(i+1) tⁱ⁺¹`
     /// (Eq. 2 of the paper, without the lower limit applied).
     pub fn antiderivative(&self) -> Poly {
@@ -421,6 +434,20 @@ mod tests {
         assert_eq!(d, p(&[3.0, 4.0, 3.0]));
         // d/dt ∫p = p
         assert_eq!(a.antiderivative().derivative(), a);
+    }
+
+    #[test]
+    fn derivative_at_matches_derivative_eval_bitwise() {
+        // `raw` keeps a sub-threshold trailing coefficient whose
+        // derivative term (0.8 · COEFF_EPS) is trimmed.
+        let tiny = COEFF_EPS * 0.4;
+        let raw = Poly { c: vec![1.0, -3.0, tiny] };
+        for q in [Poly::zero(), p(&[7.0]), p(&[1.0, 2.0, -0.5, 1e-3]), raw] {
+            for t in [-3.7, 0.0, 0.1, 12.5] {
+                let want = q.derivative().eval(t);
+                assert_eq!(Poly::derivative_at(q.coeffs(), t).to_bits(), want.to_bits());
+            }
+        }
     }
 
     #[test]

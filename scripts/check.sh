@@ -3,9 +3,10 @@
 # differential-fuzz stage, the optimizer-equivalence fuzz stage (every
 # case runs the oracle with and without the standard pass pipeline and
 # the discrete traces must match bit-for-bit, with per-pass fire
-# coverage asserted), a release build of the perfbench benchmark package
-# (its own workspace, so a library signature change would otherwise go
-# unnoticed until the benchmark runs), a live scrape of a 4-shard scaling run
+# coverage asserted), a release build, fmt check and clippy lint of the
+# perfbench benchmark package (its own workspace, so a library signature
+# change would otherwise go unnoticed until the benchmark runs), a live
+# scrape of a 4-shard scaling run
 # (/metrics, /health, /profile, the /timeseries collector history, the
 # /audit guarantee ledger, and the /trace.json Perfetto export), the
 # observability overhead gates (obs_bench min-of-batches deltas for
@@ -45,6 +46,10 @@ cargo build --release --workspace --bins --benches
 
 echo "== benchmark package build (perfbench is its own workspace, so no stage above compiles it)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "== benchmark package fmt --check and clippy -D warnings (the workspace stages skip it too)"
+cargo fmt --check --manifest-path perfbench/Cargo.toml
+cargo clippy --offline --all-targets --manifest-path perfbench/Cargo.toml -- -D warnings
 
 echo "== scaling smoke (4-shard sweep) with live scrape of the full serving surface"
 # The curl loop below steals CPU from the sweep it is scraping, so this

@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 use pulse::core::validate::{Bound, BoundInverter, EquiSplit, GradientSplit, SplitHeuristic};
-use pulse::core::{LineageStore, PulseRuntime, RuntimeConfig, System};
+use pulse::core::{LineageStore, PulseRuntime, RuntimeConfig, SegmentView, System};
+use pulse::math::poly::COEFF_EPS;
 use pulse::math::{solve_poly_cmp, CmpOp, Poly, Span};
 use pulse::model::{Expr, Pred, Segment, Tuple};
 use pulse::stream::{LogicalOp, LogicalPlan, PortRef};
@@ -13,6 +14,20 @@ use pulse::workload::moving;
 
 fn arb_poly(max_deg: usize) -> impl Strategy<Value = Poly> {
     prop::collection::vec(-10.0..10.0_f64, 1..=max_deg + 1).prop_map(Poly::new)
+}
+
+/// A polynomial of degree ≤ `max_deg` whose trailing coefficient is, half
+/// the time, within a factor of 4 of the trim threshold (either side).
+fn arb_poly_near_trim(max_deg: usize) -> impl Strategy<Value = Poly> {
+    (prop::collection::vec(-10.0..10.0_f64, 1..=max_deg + 1), 0..2u8, -2.0..2.0_f64).prop_map(
+        |(mut c, near, e)| {
+            if near == 1 {
+                let last = c.len() - 1;
+                c[last] = COEFF_EPS * 2f64.powf(e) * c[last].signum();
+            }
+            Poly::new(c)
+        },
+    )
 }
 
 fn arb_cmp() -> impl Strategy<Value = CmpOp> {
@@ -74,10 +89,10 @@ proptest! {
             .iter()
             .map(|&s| Segment::single(1, Span::new(0.0, 10.0), Poly::linear(0.0, s)))
             .collect();
-        let refs: Vec<&Segment> = inputs.iter().collect();
+        let refs: Vec<SegmentView<'_>> = inputs.iter().map(SegmentView::of).collect();
         let bound = Bound::symmetric(eps);
         for heuristic in [&EquiSplit as &dyn SplitHeuristic, &GradientSplit] {
-            let parts = heuristic.split(&out, bound, &refs, deps);
+            let parts = heuristic.split(&SegmentView::of(&out), bound, &refs, deps);
             prop_assert_eq!(parts.len(), refs.len());
             let total: f64 = parts.iter().map(|(_, b)| b.below).sum();
             prop_assert!(total <= eps + 1e-9, "total {total} exceeds {eps}");
@@ -86,6 +101,25 @@ proptest! {
                 prop_assert!(b.below >= 0.0 && b.above >= 0.0);
             }
         }
+    }
+
+    /// The gradient split's weight read from a stored snapshot is the bit
+    /// pattern the segment's own polynomials give, including when a
+    /// trailing coefficient sits near the trim threshold.
+    #[test]
+    fn stored_rate_matches_poly_derivative_bitwise(
+        models in prop::collection::vec(arb_poly_near_trim(4), 1..4),
+        earlier in arb_poly(3),
+        t in -50.0..50.0_f64,
+    ) {
+        let mut store = LineageStore::default();
+        // A snapshot ahead of it, so the view reads from non-zero offsets.
+        store.register(&Segment::single(1, Span::new(0.0, 1.0), earlier));
+        let seg = Segment::new(2, Span::new(0.0, 1.0), models, Vec::new());
+        store.register(&seg);
+        let want: f64 = seg.models.iter().map(|m| m.derivative().eval(t).abs()).sum();
+        let got = store.segment(seg.id).expect("registered").rate_at(t);
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs {}", got, want);
     }
 
     /// Inverting through a random lineage chain never allocates more than
