@@ -225,7 +225,7 @@ struct Posture {
 #[derive(serde::Serialize)]
 struct ViolPosture {
     config: String,
-    /// Median over interleaved reps (see [`measure_violation_pair`]).
+    /// Median over interleaved reps (see [`measure_pair`]).
     ns_per_tuple: f64,
     /// Percent over the `viol_obs_on` reference.
     overhead_pct: f64,

@@ -2,7 +2,7 @@
 //!
 //! Runs a keyed NYSE-style MACD workload (thousands of symbols, adaptive
 //! linear price models) through the single-threaded `PulseRuntime` and the
-//! `ShardedRuntime` at increasing shard counts, reporting tuples/sec and
+//! sharded `Executor` at increasing shard counts, reporting tuples/sec and
 //! ns/tuple per configuration. Results land in `BENCH_scaling.json` at the
 //! repo root so the perf trajectory is tracked across PRs.
 //!
@@ -44,9 +44,7 @@
 use pulse_bench::measure::merge_feeds;
 use pulse_bench::queries;
 use pulse_core::runtime::Predictor;
-use pulse_core::{
-    ExplainHandle, HybridRuntime, PulseRuntime, RuntimeConfig, RuntimeStats, ShardedRuntime,
-};
+use pulse_core::{Executor, ExplainHandle, PulseRuntime, RuntimeConfig, RuntimeStats};
 use pulse_model::Tuple;
 use pulse_stream::{partition_rewrite, AggFunc, LogicalOp, LogicalPlan, PortRef};
 use pulse_workload::{nyse, NyseConfig, NyseGen};
@@ -229,13 +227,9 @@ fn sharded(
     ctx: Option<&ServeCtx>,
 ) -> (f64, RuntimeStats, pulse_obs::PhaseTable) {
     let merged = merge_feeds(&[(0, tuples)]);
-    let mut rt = ShardedRuntime::new(
-        vec![Predictor::AdaptiveLinear(nyse::schema())],
-        lp,
-        cfg.clone(),
-        shards,
-    )
-    .expect("MACD is key-partitionable");
+    let mut rt =
+        Executor::new(vec![Predictor::AdaptiveLinear(nyse::schema())], lp, cfg.clone(), shards)
+            .expect("MACD is key-partitionable");
     if let Some(ctx) = ctx {
         *ctx.slot.lock().unwrap() = Some(rt.explain_handle());
     }
@@ -293,13 +287,9 @@ fn hybrid(
     cfg: &RuntimeConfig,
 ) -> (f64, RuntimeStats, pulse_obs::PhaseTable) {
     let hp = partition_rewrite(lp).expect("global min takes the partition rewrite");
-    let mut rt = HybridRuntime::new(
-        vec![Predictor::AdaptiveLinear(nyse::schema())],
-        &hp,
-        cfg.clone(),
-        shards,
-    )
-    .expect("rewritten branches are partitionable");
+    let mut rt =
+        Executor::new(vec![Predictor::AdaptiveLinear(nyse::schema())], &hp, cfg.clone(), shards)
+            .expect("rewritten branches are partitionable");
     let start = Instant::now();
     for (i, t) in tuples.iter().enumerate() {
         rt.on_tuple(0, t);

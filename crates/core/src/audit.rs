@@ -38,9 +38,9 @@
 //! most recent `OutputEmit` of the offending key.
 
 use crate::cops::{CGroupBy, CMinMax, COperator, CSumAvg};
+use crate::exec::splitmix64;
 use crate::plan::CPlan;
 use crate::runtime::RuntimeConfig;
-use crate::shard::splitmix64;
 use crate::validate::ValidationMode;
 use pulse_model::{Segment, Tuple};
 use pulse_obs::{AuditLedger, Histogram, TraceKind, Tracer};

@@ -17,9 +17,9 @@
 //! * [`runtime`] — the online predictive processing loop: models predict,
 //!   validation detects errors, and the solver re-runs only on violations
 //!   (§II-A, §IV);
-//! * [`shard`] — key-partitioned parallel execution: N worker threads each
-//!   run a full runtime over the keys a hash assigns them, for plans whose
-//!   operators keep keys separate.
+//! * [`exec`] — key-partitioned parallel execution: N worker threads each
+//!   run a full runtime per plan branch over the keys a hash assigns them,
+//!   plus a serial merge stage for partition-rewritten plans.
 //!
 //! ```
 //! use pulse_core::CPlan;
@@ -46,14 +46,13 @@ pub mod audit;
 pub mod binding;
 pub mod cops;
 pub mod eqsys;
+pub mod exec;
 pub mod historical;
-pub mod hybrid;
 pub mod index;
 pub mod lineage;
 pub mod plan;
 pub mod runtime;
 pub mod sampler;
-pub mod shard;
 pub mod validate;
 
 pub use audit::ShadowAuditor;
@@ -63,14 +62,16 @@ pub use eqsys::{
     legacy_subst_enabled, set_legacy_subst, DiffEq, ExprProgram, SolveScratch, System,
     SystemTemplate, SOLVE_TOL,
 };
+pub use exec::{
+    ExecPlan, Executor, ExplainHandle, HybridRuntime, MergedRun, ShardError, ShardedRuntime,
+    DEFAULT_BATCH,
+};
 pub use historical::HistoricalStore;
-pub use hybrid::{export_opt_metrics, AutoRun, AutoRuntime, HybridRun, HybridRuntime};
 pub use index::SegmentIndex;
 pub use lineage::{LineageStore, SegmentView, SharedLineage};
 pub use plan::{CPlan, TransformError};
 pub use runtime::{Heuristic, Predictor, PulseRuntime, RuntimeConfig, RuntimeStats};
 pub use sampler::{SampleStaleness, Sampler};
-pub use shard::{ExplainHandle, MergedRun, ShardError, ShardedRuntime, DEFAULT_BATCH};
 pub use validate::{
     AccuracySummary, BoundInverter, EquiSplit, GradientSplit, KeyAccuracy, SplitHeuristic, VKey,
     ValidationMode, Validator, ValidatorStats,

@@ -79,13 +79,6 @@ pub struct RuntimeConfig {
     /// Fault injection for auditor tests: added to the continuous side of
     /// every audited comparison. 0 (the default) audits honestly.
     pub audit_fault_offset: f64,
-    /// Run the logical plan through the normalization optimizer
-    /// ([`pulse_stream::Optimizer`]) before compiling, and let
-    /// [`crate::hybrid::AutoRuntime`] fall back to the partition rewrite
-    /// instead of a single thread when the plan is not key-partitionable.
-    /// Off by default: rewrites are proven by the differential oracle, and
-    /// existing callers expect plans to run exactly as written.
-    pub optimize: bool,
 }
 
 impl Default for RuntimeConfig {
@@ -98,7 +91,6 @@ impl Default for RuntimeConfig {
             audit_rate: 0,
             calibration: pulse_stream::Calibration::default(),
             audit_fault_offset: 0.0,
-            optimize: false,
         }
     }
 }
@@ -326,30 +318,20 @@ impl PulseRuntime {
         outs
     }
 
-    /// Feeds a batch of tuples from one source, deferring violation solves
+    /// Feeds a batch of `(source, tuple)` pairs, deferring violation solves
     /// into a per-key queue drained once at the end of the batch — one
     /// drain amortizes solver entry (plan traversal, warm scratch, phase
-    /// bookkeeping) across every violating tuple.
+    /// bookkeeping) across every violating tuple. The executor workers'
+    /// channel message format (owned tuples) and the benches' merged feeds
+    /// (borrowed) both fit.
     ///
-    /// Exactly equivalent to calling [`Self::on_tuple`] per tuple: outputs,
+    /// Exactly equivalent to calling [`Self::on_tuple`] per pair: outputs,
     /// their order, counters and validator state are identical. Deferral is
     /// gated on key-partitionable plans — a pending solve's effects (join
     /// state, lineage, inverted bounds, slack mode) are confined to its own
     /// key, and a repeated key flushes the queue before its next tuple
     /// validates. Non-partitionable plans fall back to per-tuple
     /// processing.
-    pub fn on_batch(&mut self, source: usize, tuples: &[Tuple]) -> Vec<Segment> {
-        let mut outs = Vec::new();
-        for tuple in tuples {
-            self.batched_one(source, tuple, &mut outs);
-        }
-        self.drain_pending(&mut outs);
-        outs
-    }
-
-    /// [`Self::on_batch`] over mixed `(source, tuple)` pairs — the shard
-    /// workers' channel message format (owned tuples) and the benches'
-    /// merged feeds (borrowed) both fit.
     pub fn on_pairs<T: std::borrow::Borrow<Tuple>>(
         &mut self,
         pairs: &[(usize, T)],

@@ -11,7 +11,7 @@
 //! verdict degrades.
 
 use pulse_core::runtime::Predictor;
-use pulse_core::{RuntimeConfig, ShardedRuntime};
+use pulse_core::{Executor, RuntimeConfig};
 use pulse_math::CmpOp;
 use pulse_model::{AttrKind, Expr, ModelSpec, Pred, Schema, StreamModel, Tuple};
 use pulse_stream::{LogicalOp, LogicalPlan, PortRef};
@@ -69,7 +69,7 @@ fn health_verdict_flips_when_shard_channel_saturates() {
         vec![PortRef::Source(0)],
     );
     let cfg = RuntimeConfig { horizon: 1e12, bound: 0.05, ..Default::default() };
-    let mut rt = ShardedRuntime::new(vec![Predictor::Clause(sm)], &lp, cfg, 1).expect("builds");
+    let mut rt = Executor::new(vec![Predictor::Clause(sm)], &lp, cfg, 1).expect("builds");
     rt.set_batch(1);
 
     // Feed from this thread while a stop flag lets us quit as soon as the

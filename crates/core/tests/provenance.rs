@@ -6,14 +6,15 @@
 //! whose observed slack exceeds the bound in force — solves only happen on
 //! violations — and `explain()` reconstructs output ranges that match the
 //! segments the runtime actually emitted. The sharded test exercises the
-//! same query fanned to the owning worker over its channel.
+//! same query fanned to the owning worker over its channel, and the hybrid
+//! test the same surfaces on a partition-rewritten plan.
 
 use pulse_core::runtime::{Predictor, PulseRuntime, RuntimeConfig};
-use pulse_core::shard::ShardedRuntime;
+use pulse_core::Executor;
 use pulse_math::CmpOp;
 use pulse_model::{AttrKind, Expr, Pred, Schema, Tuple};
 use pulse_obs::{set_trace_enabled, TraceEvent, TraceKind};
-use pulse_stream::{AggFunc, KeyJoin, LogicalOp, LogicalPlan, PortRef};
+use pulse_stream::{partition_rewrite, AggFunc, KeyJoin, LogicalOp, LogicalPlan, PortRef};
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
 
@@ -168,7 +169,7 @@ fn sharded_explain_reaches_the_owning_worker() {
     set_trace_enabled(true);
     let lp = macd_plan();
     let mut sharded =
-        ShardedRuntime::new(vec![Predictor::AdaptiveLinear(schema())], &lp, config(), 4).unwrap();
+        Executor::new(vec![Predictor::AdaptiveLinear(schema())], &lp, config(), 4).unwrap();
     for t in tuples(8, 120) {
         sharded.on_tuple(0, &t);
     }
@@ -268,4 +269,71 @@ fn explain_zero_violation_key_reports_only_the_initial_solve() {
     assert_eq!(rep.solves.len(), 1, "covering solve explains the window it predicts");
     let rep = rt.explain(1, 150.0, 200.0);
     assert!(rep.solves.is_empty(), "range beyond all coverage must explain to nothing");
+}
+
+/// The partition-rewritten ungrouped min (per-key partial envelopes on the
+/// workers, a serial global merge) serves explain, trace and audit through
+/// the same worker protocol as a keyed plan: an explain for a violating
+/// key finds its solves, every worker hands back its ring, the audited key
+/// set does not depend on the shard count, and a finished executor
+/// answers nothing.
+#[test]
+fn hybrid_plan_serves_explain_trace_and_audit() {
+    let _g = flag_lock();
+    set_trace_enabled(true);
+    let mut lp = LogicalPlan::new(vec![schema()]);
+    lp.add(
+        LogicalOp::Aggregate {
+            func: AggFunc::Min,
+            attr: 0,
+            width: 1.0,
+            slide: 0.5,
+            group_by_key: false,
+        },
+        vec![PortRef::Source(0)],
+    );
+    let hp = partition_rewrite(&lp).expect("ungrouped min takes the partition rewrite");
+    let cfg = RuntimeConfig { audit_rate: 1, ..config() };
+    let keys = 8u64;
+    let mut audited = Vec::new();
+    for shards in [1usize, 2] {
+        let mut h =
+            Executor::new(vec![Predictor::AdaptiveLinear(schema())], &hp, cfg.clone(), shards)
+                .unwrap();
+        for t in tuples(keys, 120) {
+            h.on_tuple(0, &t);
+        }
+        // Flushes every pending batch, so the handle below sees every tuple.
+        let rings = h.trace_events();
+        assert_eq!(rings.len(), shards, "one ring per worker");
+        for (s, events) in &rings {
+            assert!(!events.is_empty(), "worker {s} recorded nothing");
+        }
+        let violated = rings
+            .iter()
+            .flat_map(|(_, evs)| evs)
+            .find(|e| matches!(e.kind, TraceKind::ValidationOutcome { ok: false, .. }))
+            .expect("the noisy feed violates")
+            .key;
+
+        let handle = h.explain_handle();
+        let rep = handle.explain(violated, 0.0, 100.0).expect("live executor explains");
+        assert!(!rep.solves.is_empty(), "violating key {violated} must explain to its solves");
+        assert!(rep.solves.iter().all(|s| s.solve_end.key == violated));
+        let live = handle.audit().expect("live executor audits");
+        assert!(live.checks > 0, "audit_rate 1 audits every key");
+
+        let run = h.finish();
+        let m = run.stats;
+        assert!(m.violations > 0, "{m:?}");
+        assert_eq!(m.tuples_in, m.suppressed + m.violations + m.unchecked, "{m:?}");
+        assert!(handle.explain(violated, 0.0, 100.0).is_none(), "dead executor explains nothing");
+        assert!(handle.trace_events().is_none(), "dead executor traces nothing");
+        assert!(handle.audit().is_none(), "dead executor audits nothing");
+        audited.push((0..keys).filter(|&k| run.audit.key(k).is_some()).collect::<Vec<_>>());
+        assert_eq!(audited.last().unwrap().len(), run.audit.audited_keys());
+    }
+    set_trace_enabled(false);
+    assert!(!audited[0].is_empty(), "audit ledger is empty");
+    assert_eq!(audited[0], audited[1], "audited key set must not depend on the shard count");
 }

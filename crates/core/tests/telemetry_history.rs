@@ -4,7 +4,7 @@
 //! Event JSON (what `/trace.json` serves).
 
 use pulse_core::runtime::{Predictor, PulseRuntime, RuntimeConfig};
-use pulse_core::shard::ShardedRuntime;
+use pulse_core::Executor;
 use pulse_model::{AttrKind, Schema, Tuple};
 use pulse_obs::{set_trace_enabled, TraceKind};
 use pulse_stream::{AggFunc, LogicalOp, LogicalPlan, PortRef};
@@ -93,8 +93,7 @@ fn sharded_trace_rings_export_as_chrome_trace() {
     let _g = flag_lock();
     set_trace_enabled(true);
     let mut sharded =
-        ShardedRuntime::new(vec![Predictor::AdaptiveLinear(schema())], &plan(), config(), 4)
-            .unwrap();
+        Executor::new(vec![Predictor::AdaptiveLinear(schema())], &plan(), config(), 4).unwrap();
     // Small batches so the router has flushed work to every shard before
     // the handle copies the rings (the handle cannot flush the router).
     sharded.set_batch(16);

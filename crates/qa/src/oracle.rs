@@ -6,7 +6,7 @@
 //!    semantic baseline;
 //! 2. the **continuous** single-threaded [`PulseRuntime`] — the system
 //!    under test;
-//! 3. the **sharded** [`ShardedRuntime`] (4 shards) when the plan is
+//! 3. the **sharded** [`Executor`] (4 shards) when the plan is
 //!    key-partitionable, or a second single-threaded run when it is not
 //!    (the documented fallback path).
 //!
@@ -29,14 +29,14 @@
 //! comparators stay anchored to the same ground truth, so any semantic
 //! drift a pass introduces is caught), and when the optimized plan is
 //! still not partitionable the third engine becomes the partition-rewrite
-//! [`HybridRuntime`] — run at 1 and 4 shards and compared bit-exactly,
+//! [`Executor`] over the rewritten plan — run at 1 and 4 shards and compared bit-exactly,
 //! since the hybrid merge order is shard-count-invariant by design.
 
 use crate::plangen::{branch_slots, residual, AggSpec, JoinSpec, Shape, Step};
 use crate::streamgen::Case;
 use pulse_core::{
-    CGroupBy, CMinMax, COperator, CSumAvg, Heuristic, HybridRuntime, Predictor, PulseRuntime,
-    RuntimeConfig, ShardError, ShardedRuntime,
+    CGroupBy, CMinMax, COperator, CSumAvg, Executor, Heuristic, Predictor, PulseRuntime,
+    RuntimeConfig, ShardError,
 };
 use pulse_model::{Segment, Tuple};
 use pulse_stream::{
@@ -395,7 +395,7 @@ pub fn run_case_with(
     Ok(CaseOutcome { report, disc: disc_trace })
 }
 
-/// Drives the partition-rewritten [`HybridRuntime`] at 1 and 4 shards and
+/// Drives the partition-rewritten plan's [`Executor`] at 1 and 4 shards and
 /// requires bit-exact agreement: per-key state is isolated in the prefix
 /// and the merge drains branches in canonical order, so the shard count
 /// must be unobservable in both outputs and stats. Join shapes get an
@@ -416,7 +416,7 @@ fn run_hybrid_engine(
     let fail = |stage: &'static str, detail: String| CaseFailure { seed: case.seed, stage, detail };
     let mut runs = Vec::new();
     for shards in [1usize, 4] {
-        let mut h = HybridRuntime::new(predictors(), hp, cfg.clone(), shards).map_err(|e| {
+        let mut h = Executor::new(predictors(), hp, cfg.clone(), shards).map_err(|e| {
             fail("hybrid", format!("rewritten plan rejected at {shards} shards: {e}"))
         })?;
         // Sync often enough that merge-stage windows see fresh branch
@@ -469,7 +469,7 @@ fn run_third_engine(
     let fail = |stage: &'static str, detail: String| CaseFailure { seed: case.seed, stage, detail };
     match lp.key_partition_violation() {
         None => {
-            let mut sh = ShardedRuntime::new(predictors(), lp, cfg.clone(), 4)
+            let mut sh = Executor::new(predictors(), lp, cfg.clone(), 4)
                 .map_err(|e| fail("shard", format!("partitionable plan rejected: {e}")))?;
             for t in tuples {
                 sh.on_tuple(0, t);
@@ -495,7 +495,7 @@ fn run_third_engine(
             report.shard_outputs = merged.outputs.len();
         }
         Some(v) => {
-            match ShardedRuntime::new(predictors(), lp, cfg.clone(), 4) {
+            match Executor::new(predictors(), lp, cfg.clone(), 4) {
                 Err(ShardError::NotPartitionable(pv)) => {
                     if pv != v {
                         return Err(fail(

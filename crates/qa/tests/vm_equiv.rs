@@ -4,7 +4,7 @@
 //!    compiles coefficient expressions to a stack VM; the retained AST-walk
 //!    interpreter is kept behind `set_legacy_subst(true)`. Both must produce
 //!    bit-identical outputs over the full generated plan grammar.
-//! 2. **Batched per-key solving** — `on_batch`/`on_pairs` defer violation
+//! 2. **Batched per-key solving** — `on_pairs` defers violation
 //!    solves into a per-key queue and drain at batch end. On partitionable
 //!    plans this must be output-, order- and counter-identical to per-tuple
 //!    `on_tuple`; on non-partitionable plans it must fall back to per-tuple
@@ -18,8 +18,7 @@
 use std::sync::Mutex;
 
 use pulse_core::{
-    set_legacy_subst, Heuristic, Predictor, PulseRuntime, RuntimeConfig, RuntimeStats,
-    ShardedRuntime,
+    set_legacy_subst, Executor, Heuristic, Predictor, PulseRuntime, RuntimeConfig, RuntimeStats,
 };
 use pulse_model::{Segment, Tuple};
 use pulse_qa::Case;
@@ -114,7 +113,8 @@ fn drive_batched(
     let mut rt = runtime(lp, cfg);
     let mut outs = Vec::new();
     for chunk in tuples.chunks(batch) {
-        outs.extend(rt.on_batch(0, chunk));
+        let pairs: Vec<(usize, &Tuple)> = chunk.iter().map(|t| (0, t)).collect();
+        outs.extend(rt.on_pairs(&pairs));
     }
     let batchable = rt.batchable();
     (outs, rt.stats(), batchable)
@@ -192,7 +192,7 @@ fn sharded_batching_bit_identical_at_1_and_4_shards() {
         covered += 1;
         let (one, stats_one) = drive_per_tuple(&lp, &tuples, &cfg);
         for shards in [1usize, 4] {
-            let mut sh = ShardedRuntime::new(
+            let mut sh = Executor::new(
                 vec![Predictor::Clause(tracks::stream_model())],
                 &lp,
                 cfg.clone(),

@@ -12,7 +12,7 @@
 //! plan (with a node index map, since a pass may renumber nodes) or `None`
 //! when the plan is already normal with respect to it. The driver loops the
 //! pass list until no pass fires, counting applications and skips per pass
-//! so the runtime can export them as `opt.*` metrics.
+//! in [`Optimized::stats`].
 //!
 //! The payoff pass is [`partition_rewrite`]: it takes a plan rejected by
 //! [`LogicalPlan::is_key_partitionable`] and, when the single cross-key
@@ -50,8 +50,7 @@ pub trait Pass {
     fn apply(&self, plan: &LogicalPlan) -> Option<Rewrite>;
 }
 
-/// Per-pass apply/skip counters, exported by the runtime as
-/// `opt.<pass>.applied` / `opt.<pass>.skipped` gauges.
+/// Per-pass apply/skip counters of one optimizer run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassStat {
     pub name: &'static str,

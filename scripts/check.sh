@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo health gate: formatting, lints, the full test suite, the bounded
+# Repo health gate: formatting, lints, rustdoc with warnings denied over
+# the pulse* packages, the full test suite, the bounded
 # differential-fuzz stage, the optimizer-equivalence fuzz stage (every
 # case runs the oracle with and without the standard pass pipeline and
 # the discrete traces must match bit-for-bit, with per-pass fire
@@ -31,6 +32,15 @@ cargo fmt --check
 
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc -D warnings over the pulse* packages (broken intra-doc links fail here)"
+# The vendored stand-ins are left out: their docs are not this project's,
+# and vendored proptest fails rustdoc on its own.
+doc_pkgs=(-p pulse)
+for toml in crates/*/Cargo.toml; do
+  doc_pkgs+=(-p "$(sed -n 's/^name = "\(.*\)"/\1/p' "$toml" | head -1)")
+done
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps "${doc_pkgs[@]}"
 
 echo "== cargo test --workspace -q (differential suite at its default budget)"
 cargo test --workspace -q
